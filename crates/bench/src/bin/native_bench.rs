@@ -30,6 +30,7 @@ use ecl_core::SimOptions;
 use ecl_graph::gen::rmat;
 use ecl_graph::Csr;
 use ecl_simt::GpuConfig;
+use std::process::ExitCode;
 
 /// One benchmark cell: an algorithm on its input, both variants timed.
 struct Cell {
@@ -98,7 +99,12 @@ fn input_json(role: &str, name: &str, g: &Csr) -> Json {
     ])
 }
 
-fn main() {
+fn usage_error(message: String) -> ExitCode {
+    eprintln!("native_bench: {message}");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_value = |name: &str| {
         args.iter()
@@ -108,23 +114,34 @@ fn main() {
     };
     let quick = args.iter().any(|a| a == "--quick");
     let backend_name = flag_value("--backend").unwrap_or_else(|| "native".into());
-    let threads = flag_value("--threads").map(|t| t.parse::<usize>().expect("--threads N"));
-    let reps: u32 = flag_value("--reps").map_or(2, |r| r.parse().expect("--reps N"));
+    let Ok(threads) = flag_value("--threads")
+        .map(|t| t.parse::<usize>())
+        .transpose()
+    else {
+        return usage_error("--threads needs a non-negative integer".into());
+    };
+    let Ok(reps) = flag_value("--reps").map_or(Ok(2), |r| r.parse::<u32>()) else {
+        return usage_error("--reps needs a non-negative integer".into());
+    };
     let out_path = flag_value("--out").unwrap_or_else(|| "output/BENCH_NATIVE.json".into());
 
     let native = NativeBackend::new(threads);
     let sim = SimulatorBackend;
     let backend: &dyn Backend = match backend_name.as_str() {
         "native" => &native,
+        "sim" if quick => &sim,
         "sim" => {
-            assert!(
-                quick,
+            return usage_error(
                 "--backend sim requires --quick: full-scale inputs are sized \
                  for host threads, not the cycle-level simulator"
-            );
-            &sim
+                    .into(),
+            )
         }
-        other => panic!("unknown backend '{other}' (expected 'native' or 'sim')"),
+        other => {
+            return usage_error(format!(
+                "unknown backend '{other}' (expected 'native' or 'sim')"
+            ))
+        }
     };
     let resolved_threads = ecl_native::thread_count(threads);
 
@@ -261,4 +278,5 @@ fn main() {
     }
     std::fs::write(&out_path, report.render() + "\n").expect("write BENCH_NATIVE.json");
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

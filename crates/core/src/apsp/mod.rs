@@ -228,76 +228,6 @@ pub fn ir() -> Vec<ecl_simt::KernelIr> {
     ]
 }
 
-/// Access contracts for the blocked Floyd-Warshall kernels. APSP has no
-/// variants: the published code is race-free (paper §IV-A), and the
-/// contracts express why — every matrix element and staged tile slot has a
-/// single owning thread, barrier epochs order staging against relaxation,
-/// and the pivot-line reads are declared disjoint from the owned-element
-/// writes (the `if new < cur` guard keeps a tile's pivot row and column
-/// unwritten during the step that reads them).
-pub fn contracts() -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use ecl_simt::KernelContract;
-
-    // Epoch 0: staging stores before the first block barrier. Epoch 1: the
-    // relaxation steps after it.
-    let stage_store = || {
-        FootprintEntry::shared(AccessMode::Plain, Store, claim4())
-            .region("elem")
-            .phase(0)
-    };
-    let elem_load = || {
-        FootprintEntry::shared(AccessMode::Plain, Load, claim4())
-            .region("elem")
-            .phase(1)
-    };
-    let pivot_load = || {
-        FootprintEntry::shared(AccessMode::Plain, Load, Arbitrary)
-            .region("pivot-line")
-            .phase(1)
-    };
-    let elem_store = || {
-        FootprintEntry::shared(AccessMode::Plain, Store, claim4())
-            .region("elem")
-            .phase(1)
-    };
-    let own_tile_load =
-        || FootprintEntry::global("dist", AccessMode::Plain, Load, claim4()).region("own-tile");
-    let own_tile_store =
-        || FootprintEntry::global("dist", AccessMode::Plain, Store, claim4()).region("own-tile");
-    let pivot_tile_load = |tag: &'static str| {
-        FootprintEntry::global("dist", AccessMode::Plain, Load, Arbitrary).region(tag)
-    };
-
-    vec![
-        KernelContract::new("apsp_phase1")
-            .entry(own_tile_load())
-            .entry(own_tile_store())
-            .entry(stage_store())
-            .entry(elem_load())
-            .entry(pivot_load())
-            .entry(elem_store()),
-        // Phase 2 additionally stages and reads the finished diagonal tile,
-        // which it never writes.
-        KernelContract::new("apsp_phase2")
-            .entry(own_tile_load())
-            .entry(pivot_tile_load("pivot-diag"))
-            .entry(own_tile_store())
-            .entry(stage_store())
-            .entry(elem_load())
-            .entry(pivot_load())
-            .entry(elem_store()),
-        // Phase 3 stages the pivot row/column tiles (read-shared across
-        // blocks, never written here) and updates only its own tile.
-        KernelContract::new("apsp_phase3")
-            .entry(pivot_tile_load("pivot-cross"))
-            .entry(own_tile_load())
-            .entry(own_tile_store())
-            .entry(stage_store())
-            .entry(pivot_load()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -144,47 +144,6 @@ pub fn ir(race_free: bool) -> Vec<ecl_simt::KernelIr> {
     }
 }
 
-/// Access contracts for the ECL-CC kernels under the canonical policy for
-/// the variant ([`crate::primitives::Plain`] baseline,
-/// [`crate::primitives::Atomic`] race-free).
-pub fn contracts(race_free: bool) -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use crate::primitives::{Atomic, Plain};
-
-    fn build<P: AccessPolicy>() -> Vec<ecl_simt::KernelContract> {
-        use ecl_simt::KernelContract;
-        let csr = || csr_loads(&["row_offsets", "col_indices"]);
-        vec![
-            KernelContract::new("cc_init")
-                .entries(csr())
-                .entry(word_write::<P>("label", own4())),
-            KernelContract::new("cc_compute_light")
-                .entries(csr())
-                .entries(union_find_hook_entries::<P>("label"))
-                .entry(atomic_rmw("heavy_count"))
-                // Each heavy vertex goes to a freshly-ticketed slot.
-                .entry(ecl_simt::FootprintEntry::global(
-                    "heavy",
-                    ecl_simt::AccessMode::Plain,
-                    ecl_simt::AccessKind::Store,
-                    claim4(),
-                )),
-            KernelContract::new("cc_compute_heavy")
-                .entries(csr())
-                .entries(csr_loads(&["heavy", "heavy_offsets"]))
-                .entries(union_find_hook_entries::<P>("label")),
-            KernelContract::new("cc_flatten")
-                .entries(union_find_rep_entries::<P>("label"))
-                .entry(word_write::<P>("label", own4())),
-        ]
-    }
-    if race_free {
-        build::<Atomic>()
-    } else {
-        build::<Plain>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,13 +1,17 @@
-//! Access contracts for every kernel in the suite.
+//! Access contracts for every kernel in the suite, lowered from the kernels'
+//! access-level IR.
 //!
-//! Each algorithm module declares, per kernel, the complete footprint its
-//! threads may touch (see [`ecl_simt::KernelContract`]): which buffers, in
-//! which [`ecl_simt::AccessMode`] and [`ecl_simt::AccessKind`], under which
-//! index discipline. The helpers here capture the access *shapes* the
-//! [`crate::primitives::AccessPolicy`] layer issues — a policy's `write_byte`
-//! is a byte-wide store in the baselines but a word-wide CAS loop in the
-//! race-free conversion (paper Figs. 3–4), and the contracts must match what
-//! the simulator actually records.
+//! Each algorithm module describes its kernels once, as an
+//! [`ecl_simt::KernelIr`]: per kernel, the complete list of accesses its
+//! threads may issue — which buffers, at which [`ecl_simt::OpWidth`] and
+//! [`ecl_simt::AccessMode`], under which index discipline. The `ir_*`
+//! builders here capture the access *shapes* the
+//! [`crate::primitives::AccessPolicy`] layer issues. Lowering
+//! ([`ecl_simt::lower_all`]) turns that IR into the
+//! [`ecl_simt::KernelContract`]s the tools consume: a policy's `write_byte`
+//! lowers to a byte-wide store in the baselines but to a word-wide CAS loop
+//! in the race-free conversion (paper Figs. 3–4), matching what the
+//! simulator actually records.
 //!
 //! The contracts are consumed by two tools:
 //!
@@ -20,152 +24,10 @@ use crate::primitives::AccessPolicy;
 use crate::suite::{Algorithm, Variant};
 use ecl_simt::BenignClass::{MonotonicUpdate, RePropagatedLostUpdate};
 use ecl_simt::IndexDiscipline::{self, OwnedByGlobalId, OwnedRange};
+use ecl_simt::{AccessOp, KernelContract, KernelIr, OpWidth};
 
-pub use ecl_simt::AccessKind::{Load, Rmw, Store};
 pub use ecl_simt::AccessMode;
 pub use ecl_simt::IndexDiscipline::Arbitrary;
-pub use ecl_simt::{AccessOp, BenignClass, FootprintEntry, KernelContract, KernelIr, OpWidth};
-
-/// Plain read-only loads of CSR structure arrays (row offsets, column
-/// indices, weights, edge sources): never written after upload, so any
-/// thread may read any element.
-pub fn csr_loads(buffers: &[&'static str]) -> Vec<FootprintEntry> {
-    buffers
-        .iter()
-        .map(|b| FootprintEntry::global(b, AccessMode::Plain, Load, Arbitrary))
-        .collect()
-}
-
-/// The `u32` load shape `P::read_u32` issues.
-pub fn word_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// The `u32` store shape `P::write_u32` issues.
-pub fn word_write<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::WRITE_MODE, Store, discipline)
-}
-
-/// The `u64` load shape `P::read_u64` issues. On devices without native
-/// 64-bit accesses the simulator splits plain/volatile loads into two word
-/// halves; an 8-byte element discipline maps both halves to the same element.
-pub fn word64_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// A device-scope atomic read-modify-write (counters, tickets, CAS hooks).
-pub fn atomic_rmw(buffer: &'static str) -> FootprintEntry {
-    FootprintEntry::global(buffer, AccessMode::Atomic, Rmw, Arbitrary)
-}
-
-/// The footprint of [`crate::common::union_find_rep`] over `buffer`: racy
-/// arbitrary-index reads plus path-shortening writes. Lost shortening
-/// updates are re-propagated by later hops (the paper's §VI-A benign race).
-pub fn union_find_rep_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    vec![
-        word_read::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
-        word_write::<P>(buffer, Arbitrary).benign(RePropagatedLostUpdate),
-    ]
-}
-
-/// The footprint of [`crate::common::union_find_hook`] over `buffer`:
-/// representative chasing plus the `atomicCAS` hook itself (atomic in both
-/// the baseline and the conversion, as in the ECL codes).
-pub fn union_find_hook_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    let mut entries = union_find_rep_entries::<P>(buffer);
-    entries.push(atomic_rmw(buffer));
-    entries
-}
-
-/// The byte-array load shape `P::read_byte` issues: a byte load in the
-/// baselines, a word-wide atomic load (Fig. 3b) in the conversion — which is
-/// why the race-free entries drop to `Arbitrary` (the word spans four
-/// threads' bytes).
-pub fn byte_read_entries<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![FootprintEntry::global(
-            buffer,
-            AccessMode::Atomic,
-            Load,
-            Arbitrary,
-        )]
-    } else {
-        vec![FootprintEntry::global(
-            buffer,
-            P::READ_MODE,
-            Load,
-            discipline,
-        )]
-    }
-}
-
-/// The byte-array store shape `P::write_byte` issues: a byte store in the
-/// baselines; in the conversion either one `atomicAnd` (zero bytes, Fig. 4b)
-/// or an atomic-load + CAS loop on the containing word.
-pub fn byte_write_entries<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![
-            FootprintEntry::global(buffer, AccessMode::Atomic, Load, Arbitrary),
-            FootprintEntry::global(buffer, AccessMode::Atomic, Rmw, Arbitrary),
-        ]
-    } else {
-        vec![FootprintEntry::global(
-            buffer,
-            P::WRITE_MODE,
-            Store,
-            discipline,
-        )]
-    }
-}
-
-/// The pair-half load shape `P::read_pair_first/second` issues (Fig. 5):
-/// a `u32` load of either half of the packed `u64`.
-pub fn pair_read<P: AccessPolicy>(
-    buffer: &'static str,
-    discipline: IndexDiscipline,
-) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::READ_MODE, Load, discipline)
-}
-
-/// The pair-half monotonic max shape `P::max_pair_first/second` issues:
-/// a racy load + conditional store of one half in the baselines (lost maxima
-/// are re-propagated — monotone convergence), one `atomicMax` per half in
-/// the conversion.
-pub fn pair_max_entries<P: AccessPolicy>(buffer: &'static str) -> Vec<FootprintEntry> {
-    if P::IS_RACE_FREE {
-        vec![
-            FootprintEntry::global(buffer, AccessMode::Atomic, Load, Arbitrary),
-            atomic_rmw(buffer),
-        ]
-    } else {
-        vec![
-            FootprintEntry::global(buffer, P::READ_MODE, Load, Arbitrary).benign(MonotonicUpdate),
-            FootprintEntry::global(buffer, P::WRITE_MODE, Store, Arbitrary).benign(MonotonicUpdate),
-        ]
-    }
-}
-
-/// The flag-raise shape `P::raise_flag` issues: a store of the constant 1 —
-/// idempotent however the racing writers interleave.
-pub fn flag_raise<P: AccessPolicy>(buffer: &'static str) -> FootprintEntry {
-    FootprintEntry::global(buffer, P::WRITE_MODE, Store, Arbitrary)
-        .benign(ecl_simt::BenignClass::IdempotentWrite)
-}
 
 /// Grid-stride ownership of 4-byte elements (non-chunked `ForEach`: item
 /// index equals element index, so `element % num_threads == global_id`).
@@ -200,12 +62,11 @@ pub fn claim1() -> IndexDiscipline {
 }
 
 // ---------------------------------------------------------------------------
-// IR op builders: the same access shapes as the entry helpers above, but as
+// IR op builders: the access shapes of the policy layer as
 // `ecl_simt::AccessOp`s. Each algorithm module's `ir()` assembles its kernels
-// from these; `contracts()` is the lowering of that IR, and the repair pass
-// in `ecl-analyze` rewrites the IR's repairable ops. The entry helpers above
-// stay as the ground truth the lowering is pinned against (see the
-// `ir_lowering_matches_hand_written_contracts` test).
+// from these; `for_algorithm` is the lowering of that IR, and the repair
+// pass in `ecl-analyze` rewrites the IR's repairable ops. The lowered
+// contracts are pinned by the golden file `tests/contracts.golden`.
 
 /// IR ops for plain read-only loads of CSR structure arrays. Hard-coded
 /// plain in the kernel bodies (never policy-mediated), hence fixed.
@@ -297,21 +158,11 @@ pub fn ir_flag_raise<P: AccessPolicy>(buffer: &'static str) -> AccessOp {
     AccessOp::flag(buffer, P::WRITE_MODE)
 }
 
-/// The full contract set for one algorithm × variant, keyed on the canonical
-/// policy/visibility mapping the suite and the race-detection tools use.
-/// Bit-identical to the lowering of [`ir_for_algorithm`] — pinned by the
-/// `ir_lowering_matches_hand_written_contracts` test, so the IR and the
-/// hand-written declarations can never drift apart silently.
+/// The full contract set for one algorithm × variant: the lowering of
+/// [`ir_for_algorithm`], keyed on the canonical policy/visibility mapping the
+/// suite and the race-detection tools use.
 pub fn for_algorithm(algorithm: Algorithm, variant: Variant) -> Vec<KernelContract> {
-    let race_free = variant == Variant::RaceFree;
-    match algorithm {
-        Algorithm::Apsp => crate::apsp::contracts(),
-        Algorithm::Cc => crate::cc::contracts(race_free),
-        Algorithm::Gc => crate::gc::contracts(race_free),
-        Algorithm::Mis => crate::mis::contracts(race_free),
-        Algorithm::Mst => crate::mst::contracts(race_free),
-        Algorithm::Scc => crate::scc::contracts(race_free),
-    }
+    ecl_simt::lower_all(&ir_for_algorithm(algorithm, variant))
 }
 
 /// The access-level kernel IR for one algorithm × variant under the same
@@ -331,36 +182,34 @@ pub fn ir_for_algorithm(algorithm: Algorithm, variant: Variant) -> Vec<KernelIr>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primitives::{Atomic, Plain};
 
-    #[test]
-    fn race_free_byte_writes_are_word_wide_atomics() {
-        let entries = byte_write_entries::<Atomic>("s", own1());
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| e.mode == AccessMode::Atomic));
-        let plain = byte_write_entries::<Plain>("s", own1());
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].kind, Store);
-        assert_eq!(plain[0].discipline, own1());
+    /// One header line per kernel, then one indented line per entry.
+    fn render_all_contracts() -> String {
+        let mut out = String::new();
+        for alg in Algorithm::ALL {
+            for variant in [Variant::Baseline, Variant::RaceFree] {
+                for contract in for_algorithm(alg, variant) {
+                    out.push_str(&format!("{alg} {variant} {}\n", contract.kernel));
+                    for entry in &contract.entries {
+                        out.push_str(&format!("  {entry:?}\n"));
+                    }
+                }
+            }
+        }
+        out
     }
 
     #[test]
-    fn ir_lowering_matches_hand_written_contracts() {
-        // The bit-identity pin: for every algorithm × variant, lowering the
-        // access-level IR must reproduce the hand-written contract set
-        // exactly — same kernels, same entries, same order. This is what
-        // lets the repair pass emit trustworthy contracts for synthesized
-        // variants by lowering the repaired IR.
-        for alg in Algorithm::ALL {
-            for variant in [Variant::Baseline, Variant::RaceFree] {
-                let hand = for_algorithm(alg, variant);
-                let lowered = ecl_simt::lower_all(&ir_for_algorithm(alg, variant));
-                assert_eq!(
-                    hand, lowered,
-                    "{alg:?} {variant:?}: IR lowering diverged from the hand-written contracts"
-                );
-            }
-        }
+    fn lowered_contracts_match_golden() {
+        // The drift guard for the IR: every kernel's lowered contract, entry
+        // by entry and in order, against the set recorded in the golden file.
+        // The repair pass trusts the lowering to emit contracts for
+        // synthesized variants, so any change here must be deliberate.
+        let actual = render_all_contracts();
+        assert!(
+            actual == include_str!("../tests/contracts.golden"),
+            "lowered contracts diverged from tests/contracts.golden; actual rendering:\n{actual}"
+        );
     }
 
     #[test]

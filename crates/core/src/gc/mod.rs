@@ -188,38 +188,6 @@ pub fn ir(race_free: bool) -> Vec<ecl_simt::KernelIr> {
     }
 }
 
-/// Access contracts for the ECL-GC kernels under the canonical policy pair
-/// for the variant (`<Volatile, Plain>` baseline — volatile color polling,
-/// plain shortcut bookkeeping — `<Atomic, Atomic>` race-free).
-pub fn contracts(race_free: bool) -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use crate::primitives::{Atomic, Plain, Volatile};
-    use ecl_simt::BenignClass::{MonotonicUpdate, RePropagatedLostUpdate};
-
-    fn build<P: AccessPolicy, Q: AccessPolicy>() -> Vec<ecl_simt::KernelContract> {
-        use ecl_simt::KernelContract;
-        vec![
-            KernelContract::new("gc_init")
-                .entry(word_write::<P>("color", own4()))
-                .entry(word_write::<Q>("minposs", own4())),
-            // `gc_round` is chunked, so the own-vertex writes are first-touch
-            // owned rather than grid-stride owned.
-            KernelContract::new("gc_round")
-                .entries(csr_loads(&["row_offsets", "col_indices"]))
-                .entry(word_read::<P>("color", Arbitrary).benign(RePropagatedLostUpdate))
-                .entry(word_write::<P>("color", claim4()).benign(RePropagatedLostUpdate))
-                .entry(word_read::<Q>("minposs", Arbitrary).benign(MonotonicUpdate))
-                .entry(word_write::<Q>("minposs", claim4()).benign(MonotonicUpdate))
-                .entry(atomic_rmw("remaining")),
-        ]
-    }
-    if race_free {
-        build::<Atomic, Atomic>()
-    } else {
-        build::<Volatile, Plain>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -201,54 +201,6 @@ pub fn ir(race_free: bool) -> Vec<ecl_simt::KernelIr> {
     }
 }
 
-/// Access contracts for the ECL-MIS kernels (both the asynchronous
-/// persistent-thread engine and the synchronous round-based ablation) under
-/// the canonical policy for the variant
-/// ([`crate::primitives::VolatileReadPlainWrite`] baseline — the split the
-/// paper blames for delayed status publication — [`crate::primitives::Atomic`]
-/// race-free).
-pub fn contracts(race_free: bool) -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use crate::primitives::{Atomic, VolatileReadPlainWrite};
-    use ecl_simt::BenignClass::{IdempotentWrite, RePropagatedLostUpdate};
-
-    fn build<P: AccessPolicy>() -> Vec<ecl_simt::KernelContract> {
-        use ecl_simt::KernelContract;
-        let statuses_poll = || -> Vec<FootprintEntry> {
-            byte_read_entries::<P>("node_stat", Arbitrary)
-                .into_iter()
-                .map(|e| e.benign(RePropagatedLostUpdate))
-                .chain(
-                    byte_write_entries::<P>("node_stat", Arbitrary)
-                        .into_iter()
-                        .map(|e| e.benign(IdempotentWrite)),
-                )
-                .collect()
-        };
-        let init = |name: &str| {
-            KernelContract::new(name)
-                .entries(csr_loads(&["row_offsets"]))
-                .entries(byte_write_entries::<P>("node_stat", own1()))
-        };
-        vec![
-            init("mis_init"),
-            init("mis_sync_init"),
-            KernelContract::new("mis_compute")
-                .entries(csr_loads(&["row_offsets", "col_indices"]))
-                .entries(statuses_poll()),
-            KernelContract::new("mis_sync_round")
-                .entries(csr_loads(&["row_offsets", "col_indices"]))
-                .entries(statuses_poll())
-                .entry(atomic_rmw("undecided")),
-        ]
-    }
-    if race_free {
-        build::<Atomic>()
-    } else {
-        build::<VolatileReadPlainWrite>()
-    }
-}
-
 /// The ECL-MIS priority of a vertex: partially random, inversely
 /// proportional to degree, always in `2..=255` so it can share the status
 /// byte with the OUT/IN markers.

@@ -167,60 +167,6 @@ pub fn ir(race_free: bool) -> Vec<ecl_simt::KernelIr> {
     }
 }
 
-/// Access contracts for the ECL-MST kernels under the canonical policy for
-/// the variant ([`crate::primitives::Volatile`] baseline,
-/// [`crate::primitives::Atomic`] race-free). The best-edge bidding is
-/// `atomicMin` in both variants, as in ECL-MST — the baseline races are in
-/// the `parent`/`best` reads around it.
-pub fn contracts(race_free: bool) -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use crate::primitives::{Atomic, Volatile};
-
-    fn build<P: AccessPolicy>() -> Vec<ecl_simt::KernelContract> {
-        use ecl_simt::KernelContract;
-        vec![
-            // Init stores through plain accesses in both variants (no other
-            // thread can observe them before the launch boundary).
-            KernelContract::new("mst_init")
-                .entry(FootprintEntry::global(
-                    "parent",
-                    AccessMode::Plain,
-                    Store,
-                    own4(),
-                ))
-                .entry(FootprintEntry::global(
-                    "best",
-                    AccessMode::Plain,
-                    Store,
-                    own8(),
-                )),
-            KernelContract::new("mst_find_min")
-                .entries(csr_loads(&["edge_src", "col_indices", "weights"]))
-                .entries(union_find_rep_entries::<P>("parent"))
-                .entry(atomic_rmw("best")),
-            // `mst_connect` reads and resets its own component's best slot,
-            // merges via `atomicCAS`, and flags edges/progress.
-            KernelContract::new("mst_connect")
-                .entries(csr_loads(&["edge_src", "col_indices"]))
-                .entry(word64_read::<P>("best", claim8()))
-                .entry(FootprintEntry::global(
-                    "best",
-                    AccessMode::Plain,
-                    Store,
-                    claim8(),
-                ))
-                .entries(union_find_hook_entries::<P>("parent"))
-                .entries(byte_write_entries::<P>("in_mst", claim1()))
-                .entry(flag_raise::<P>("changed")),
-        ]
-    }
-    if race_free {
-        build::<Atomic>()
-    } else {
-        build::<Volatile>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

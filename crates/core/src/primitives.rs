@@ -48,10 +48,8 @@ use ecl_simt::{Ctx, DevicePtr, Hooks};
 pub trait AccessPolicy: Copy + Default + Send + Sync + 'static {
     /// Human-readable policy name ("plain", "volatile", "atomic").
     const NAME: &'static str;
-    /// `true` only for the race-free conversion.
-    const IS_RACE_FREE: bool;
     /// The [`ecl_simt::AccessMode`] this policy's reads issue — what the
-    /// access-contract constructors declare for read entries.
+    /// `ir_*` op builders in [`crate::contracts`] declare for read ops.
     const READ_MODE: ecl_simt::AccessMode;
     /// The [`ecl_simt::AccessMode`] this policy's writes issue.
     const WRITE_MODE: ecl_simt::AccessMode;
@@ -105,7 +103,6 @@ pub struct Plain;
 
 impl AccessPolicy for Plain {
     const NAME: &'static str = "plain";
-    const IS_RACE_FREE: bool = false;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Plain;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Plain;
 
@@ -173,7 +170,6 @@ pub struct Volatile;
 
 impl AccessPolicy for Volatile {
     const NAME: &'static str = "volatile";
-    const IS_RACE_FREE: bool = false;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Volatile;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Volatile;
 
@@ -244,7 +240,6 @@ pub struct VolatileReadPlainWrite;
 
 impl AccessPolicy for VolatileReadPlainWrite {
     const NAME: &'static str = "volatile-read/plain-write";
-    const IS_RACE_FREE: bool = false;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Volatile;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Plain;
 
@@ -311,7 +306,6 @@ pub struct Atomic;
 
 impl AccessPolicy for Atomic {
     const NAME: &'static str = "atomic";
-    const IS_RACE_FREE: bool = true;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
 
@@ -379,12 +373,9 @@ impl AccessPolicy for Atomic {
 /// does not describe the kernel actually running — and panics with the
 /// kernel/buffer pair rather than silently guessing a mode.
 ///
-/// `IS_RACE_FREE` is `false` because race-freedom is a property of the
-/// *installed table*, not of this policy; the repair pipeline's oracles
-/// (static check, dynamic racecheck, differential fixpoint) are what certify
-/// a given table. `READ_MODE`/`WRITE_MODE` are likewise not meaningful here
-/// (contracts for IR-driven runs are lowered from the IR itself, never
-/// built from these constants); they are pinned to `Atomic` arbitrarily.
+/// `READ_MODE`/`WRITE_MODE` are not meaningful here (contracts for
+/// IR-driven runs are lowered from the IR itself, never built from these
+/// constants); they are pinned to `Atomic` arbitrarily.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IrDriven;
 
@@ -403,7 +394,6 @@ impl IrDriven {
 
 impl AccessPolicy for IrDriven {
     const NAME: &'static str = "ir-driven";
-    const IS_RACE_FREE: bool = false;
     const READ_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
     const WRITE_MODE: ecl_simt::AccessMode = ecl_simt::AccessMode::Atomic;
 
@@ -727,14 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_policy_is_marked_race_free() {
-        fn race_free<P: AccessPolicy>() -> bool {
-            P::IS_RACE_FREE
-        }
-        assert!(race_free::<Atomic>());
-        assert!(!race_free::<Plain>());
-        assert!(!race_free::<Volatile>());
-        assert!(!race_free::<VolatileReadPlainWrite>());
+    fn policy_names() {
         assert_eq!(Plain::NAME, "plain");
     }
 }

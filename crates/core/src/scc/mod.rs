@@ -225,118 +225,6 @@ pub fn ir(race_free: bool) -> Vec<ecl_simt::KernelIr> {
     }
 }
 
-/// Access contracts for the ECL-SCC kernels — both the full-scan engine and
-/// the data-driven worklist engine — under the canonical policy for the
-/// variant ([`crate::primitives::Plain`] baseline,
-/// [`crate::primitives::Atomic`] race-free).
-pub fn contracts(race_free: bool) -> Vec<ecl_simt::KernelContract> {
-    use crate::contracts::*;
-    use crate::primitives::{Atomic, Plain};
-    use ecl_simt::BenignClass::MonotonicUpdate;
-
-    fn build<P: AccessPolicy>() -> Vec<ecl_simt::KernelContract> {
-        use ecl_simt::KernelContract;
-        // The pair halves: arbitrary-index reads plus the monotone max
-        // updates (racy load+store in the baseline, atomicMax race-free).
-        let pair_traffic = || -> Vec<FootprintEntry> {
-            let mut es = vec![pair_read::<P>("max_id_pair", Arbitrary).benign(MonotonicUpdate)];
-            es.extend(pair_max_entries::<P>("max_id_pair"));
-            es
-        };
-        let settle = |name: &str| {
-            KernelContract::new(name)
-                .entry(FootprintEntry::global(
-                    "scc_id",
-                    AccessMode::Plain,
-                    Load,
-                    own4(),
-                ))
-                .entry(FootprintEntry::global(
-                    "scc_id",
-                    AccessMode::Plain,
-                    Store,
-                    own4(),
-                ))
-                .entry(pair_read::<P>("max_id_pair", own8()))
-                .entry(atomic_rmw("settled_count"))
-        };
-        // A worklist push: ticket from the cursor, store into the fresh
-        // slot. The same kernel runs against either buffer (a/b roles swap
-        // each round), so both names are declared.
-        let wl_push = |es: &mut Vec<FootprintEntry>| {
-            for wl in ["worklist_a", "worklist_b"] {
-                es.push(
-                    FootprintEntry::global(wl, AccessMode::Plain, Store, claim4())
-                        .region("frontier-write"),
-                );
-            }
-            for count in ["worklist_count_a", "worklist_count_b"] {
-                es.push(atomic_rmw(count));
-            }
-        };
-        let mut wl_propagate_entries = csr_loads(&["row_offsets", "col_indices"]);
-        wl_propagate_entries.extend([
-            FootprintEntry::global("worklist_a", AccessMode::Plain, Load, Arbitrary)
-                .region("frontier-read"),
-            FootprintEntry::global("worklist_b", AccessMode::Plain, Load, Arbitrary)
-                .region("frontier-read"),
-            FootprintEntry::global("scc_id", AccessMode::Plain, Load, Arbitrary),
-        ]);
-        wl_propagate_entries.extend(pair_traffic());
-        wl_push(&mut wl_propagate_entries);
-
-        let mut wl_init_entries = vec![
-            FootprintEntry::global("scc_id", AccessMode::Plain, Load, own4()),
-            FootprintEntry::global("max_id_pair", AccessMode::Plain, Store, own8()),
-        ];
-        wl_push(&mut wl_init_entries);
-
-        let mut wl_reseed_entries = vec![FootprintEntry::global(
-            "scc_id",
-            AccessMode::Plain,
-            Load,
-            own4(),
-        )];
-        wl_push(&mut wl_reseed_entries);
-
-        vec![
-            KernelContract::new("scc_init")
-                .entry(FootprintEntry::global(
-                    "scc_id",
-                    AccessMode::Plain,
-                    Load,
-                    own4(),
-                ))
-                .entry(FootprintEntry::global(
-                    "max_id_pair",
-                    AccessMode::Plain,
-                    Store,
-                    own8(),
-                )),
-            KernelContract::new("scc_propagate")
-                .entries(csr_loads(&["edge_src", "col_indices"]))
-                .entry(FootprintEntry::global(
-                    "scc_id",
-                    AccessMode::Plain,
-                    Load,
-                    Arbitrary,
-                ))
-                .entries(pair_traffic())
-                .entry(flag_raise::<P>("repeat_flag")),
-            settle("scc_settle"),
-            KernelContract::new("scc_wl_init").entries(wl_init_entries),
-            KernelContract::new("scc_wl_propagate").entries(wl_propagate_entries),
-            KernelContract::new("scc_wl_reseed").entries(wl_reseed_entries),
-            settle("scc_wl_settle"),
-        ]
-    }
-    if race_free {
-        build::<Atomic>()
-    } else {
-        build::<Plain>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

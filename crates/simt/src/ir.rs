@@ -9,9 +9,9 @@
 //! the execution backend; the IR is the single source of truth that
 //!
 //! - **lowers** to the kernel's [`KernelContract`] ([`KernelIr::lower`]),
-//!   reproducing bit-identically the footprints the hand-written contract
-//!   builders used to produce (the existing census, sanitizer, and
-//!   differential tests pin this), and
+//!   the only description of its footprints (`ecl-core` pins the lowered
+//!   contracts with a golden file; the census, sanitizer, and differential
+//!   tests check them against observed accesses), and
 //! - **drives execution** of synthesized variants: a [`ModeTable`] derived
 //!   from a (possibly repaired) IR tells the `IrDriven` access policy in
 //!   `ecl-core` which [`AccessMode`] each policy-mediated site must use,
@@ -271,8 +271,7 @@ impl AccessOp {
     }
 
     /// Lowers the op to the footprint entries the closure backend actually
-    /// issues for it — the shapes the hand-written contract builders
-    /// declared before the IR existed. Composite ops expand:
+    /// issues for it. Composite ops expand:
     ///
     /// - atomic byte loads read the containing word (Fig. 3b), so the entry
     ///   widens to an arbitrary-index word load;
@@ -504,13 +503,17 @@ mod tests {
 
     #[test]
     fn plain_word_ops_lower_to_single_entries() {
-        let own4 = IndexDiscipline::OwnedByGlobalId { elem_bytes: 4 };
-        let op = AccessOp::store("label", OpWidth::B4, AccessMode::Plain, own4);
-        let lowered = op.lower();
-        assert_eq!(lowered.len(), 1);
-        assert_eq!(lowered[0].mode, AccessMode::Plain);
-        assert_eq!(lowered[0].kind, AccessKind::Store);
-        assert_eq!(lowered[0].discipline, own4);
+        // A plain byte store stays one byte-wide store that keeps its
+        // ownership discipline; only atomic byte stores widen to the word.
+        for (buffer, width, elem_bytes) in [("label", OpWidth::B4, 4), ("stat", OpWidth::B1, 1)] {
+            let own = IndexDiscipline::OwnedByGlobalId { elem_bytes };
+            let op = AccessOp::store(buffer, width, AccessMode::Plain, own);
+            let lowered = op.lower();
+            assert_eq!(lowered.len(), 1, "{width:?}");
+            assert_eq!(lowered[0].mode, AccessMode::Plain);
+            assert_eq!(lowered[0].kind, AccessKind::Store);
+            assert_eq!(lowered[0].discipline, own);
+        }
     }
 
     #[test]
